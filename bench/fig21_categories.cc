@@ -24,7 +24,7 @@ main()
     printBanner("Figure 21: function-category profiles from decoded "
                 "traces (per-panel % of instructions)");
 
-    const std::vector<std::string> apps = {"Search", "Cache",
+    const std::vector<std::string> apps = {"Search", "Caching",
                                            "Prediction", "Matching",
                                            "Recommend"};
 

@@ -23,7 +23,7 @@ main()
     printBanner("Figure 22: memory access width analysis (percent per "
                 "width 1/2/4/8)");
 
-    const std::vector<std::string> apps = {"Search", "Cache",
+    const std::vector<std::string> apps = {"Search", "Caching",
                                            "Prediction", "Matching",
                                            "Recommend"};
 

@@ -1,63 +1,137 @@
 #include "cluster/crd.h"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.h"
 
 namespace exist {
 
-TraceRequest
-TraceRequest::parse(const std::string &manifest)
+namespace {
+
+bool
+parseBool(const std::string &value, bool *out)
 {
+    if (value == "true" || value == "1" || value == "on")
+        *out = true;
+    else if (value == "false" || value == "0" || value == "off")
+        *out = false;
+    else
+        return false;
+    return true;
+}
+
+/** The whole of `value` as a T (no sign for unsigned T, no junk). */
+template <typename T>
+bool
+parseNumber(const std::string &value, T *out)
+{
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** A finite real in [lo, hi]. */
+bool
+parseReal(const std::string &value, double lo, double hi, double *out)
+{
+    return parseNumber(value, out) && std::isfinite(*out) &&
+           *out >= lo && *out <= hi;
+}
+
+/** Longest period whose cycle count stays below 2^63, so converting
+ *  it to Cycles is well defined. */
+constexpr double kMaxPeriodMs =
+    9.2e18 / static_cast<double>(kCyclesPerMs);
+
+}  // namespace
+
+std::string
+ManifestError::message() const
+{
+    switch (kind) {
+      case Kind::kNone: return "ok";
+      case Kind::kMalformedToken:
+        return "malformed manifest token '" + token + "' (want key=value)";
+      case Kind::kUnknownKey:
+        return "unknown manifest key in '" + token + "'";
+      case Kind::kBadValue:
+        return "bad manifest value in '" + token + "'";
+      case Kind::kMissingApp: return "manifest missing app=";
+    }
+    return "?";
+}
+
+ManifestError
+TraceRequest::parse(const std::string &manifest, TraceRequest *out)
+{
+    using Kind = ManifestError::Kind;
     TraceRequest req;
     std::istringstream in(manifest);
     std::string token;
     while (in >> token) {
         auto eq = token.find('=');
         if (eq == std::string::npos)
-            EXIST_FATAL("malformed manifest token '%s'", token.c_str());
+            return {Kind::kMalformedToken, token};
         std::string key = token.substr(0, eq);
         std::string value = token.substr(eq + 1);
+        bool ok = true;
         if (key == "app") {
             req.app = value;
         } else if (key == "anomaly") {
-            req.anomaly = value == "true" || value == "1";
+            ok = parseBool(value, &req.anomaly);
         } else if (key == "period_ms") {
+            double ms = 0;
+            ok = parseReal(value, 0.0, kMaxPeriodMs, &ms);
             req.period_override = static_cast<Cycles>(
-                std::stod(value) * static_cast<double>(kCyclesPerMs));
+                ms * static_cast<double>(kCyclesPerMs));
         } else if (key == "budget_mb") {
-            req.budget_mb = std::stoull(value);
+            ok = parseNumber(value, &req.budget_mb);
         } else if (key == "ring") {
-            req.ring_buffers = value == "true" || value == "1";
+            ok = parseBool(value, &req.ring_buffers);
         } else if (key == "core_sample_ratio") {
-            req.core_sample_ratio = std::stod(value);
+            ok = parseReal(value, 0.0, 1.0, &req.core_sample_ratio);
         } else if (key == "streaming") {
-            req.streaming = value == "true" || value == "1";
+            ok = parseBool(value, &req.streaming);
         } else if (key == "decode_cache") {
-            req.decode_cache =
-                value == "true" || value == "1" || value == "on";
+            ok = parseBool(value, &req.decode_cache);
         } else if (key == "tnt_memo_bits") {
-            req.tnt_memo_bits = std::stoi(value);
+            ok = parseNumber(value, &req.tnt_memo_bits) &&
+                 req.tnt_memo_bits >= 0;
         } else if (key == "net") {
-            req.net = value == "true" || value == "1";
+            ok = parseBool(value, &req.net);
         } else if (key == "loss") {
-            req.net_loss = std::stod(value);
+            ok = parseReal(value, 0.0, 1.0, &req.net_loss);
         } else if (key == "reorder") {
-            req.net_reorder = std::stod(value);
+            ok = parseReal(value, 0.0, 1.0, &req.net_reorder);
         } else if (key == "duplicate") {
-            req.net_duplicate = std::stod(value);
+            ok = parseReal(value, 0.0, 1.0, &req.net_duplicate);
         } else if (key == "link_latency_us") {
-            req.net_link_latency_us = std::stod(value);
+            ok = parseReal(value, 0.0, HUGE_VAL,
+                           &req.net_link_latency_us);
         } else if (key == "wal") {
             req.wal_dir = value;
         } else if (key == "snapshot_interval") {
-            req.snapshot_interval = std::stoull(value);
+            ok = parseNumber(value, &req.snapshot_interval);
         } else {
-            EXIST_FATAL("unknown manifest key '%s'", key.c_str());
+            return {Kind::kUnknownKey, token};
         }
+        if (!ok)
+            return {Kind::kBadValue, token};
     }
     if (req.app.empty())
-        EXIST_FATAL("manifest missing app=");
+        return {Kind::kMissingApp, ""};
+    *out = std::move(req);
+    return {};
+}
+
+TraceRequest
+TraceRequest::parse(const std::string &manifest)
+{
+    TraceRequest req;
+    ManifestError err = parse(manifest, &req);
+    EXIST_ASSERT(err.ok(), "%s", err.message().c_str());
     return req;
 }
 

@@ -36,6 +36,23 @@ requestPhaseName(RequestPhase p)
     return "?";
 }
 
+/** Why TraceRequest::parse rejected a manifest. */
+struct ManifestError {
+    enum class Kind : std::uint8_t {
+        kNone,
+        kMalformedToken,  ///< a token without '='
+        kUnknownKey,
+        kBadValue,        ///< not a number/boolean, or out of range
+        kMissingApp,      ///< no app= key
+    };
+    Kind kind = Kind::kNone;
+    std::string token;  ///< the offending token ("" for kMissingApp)
+
+    bool ok() const { return kind == Kind::kNone; }
+    /** One-line operator-facing description. */
+    std::string message() const;
+};
+
 /** A tracing request CRD. */
 struct TraceRequest {
     std::uint64_t id = 0;  ///< assigned by the API server
@@ -86,8 +103,17 @@ struct TraceRequest {
 
     /**
      * Parse a manifest of "key=value" pairs separated by whitespace or
-     * newlines, e.g. "app=Search1 anomaly=true period_ms=500".
-     * Fatal on unknown keys (a malformed manifest is a user error).
+     * newlines, e.g. "app=Search1 anomaly=true period_ms=500". Returns
+     * the first error; `*out` is unspecified unless the result is ok().
+     * Booleans take true/false/1/0/on/off; numbers must parse whole
+     * and lie in range (ratios in [0, 1], latencies and periods >= 0).
+     */
+    static ManifestError parse(const std::string &manifest,
+                               TraceRequest *out);
+    /**
+     * Parse a manifest the caller knows is valid, e.g. one that
+     * toManifest() rendered. A malformed one is an internal bug
+     * (panic); external input goes through the overload above.
      */
     static TraceRequest parse(const std::string &manifest);
 

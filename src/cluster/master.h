@@ -1,47 +1,21 @@
 /**
  * @file
- * The Kubernetes-master-side integration (paper §4 + §3.4): an API
- * server holding TraceRequest CRDs, and a reconciling controller that
- * (1) asks RCO for the tracing period and the set of repetitions,
- * (2) runs an EXIST session on each selected worker node,
- * (3) uploads raw trace objects to the object store,
- * (4) decodes them against the binary repository and writes structured
- *     rows to the table store, and
- * (5) merges per-worker traces into one augmented report.
- *
- * Planning and publishing are shared with the sharded control plane
- * (cluster/shard/plan.h): every request plans on its private RNG
- * stream splitmix64(cluster seed, request id), so ShardedMaster
- * produces bit-identical reports at any shard count.
+ * The control plane's product: one merged TraceReport per reconciled
+ * trace request (paper §4). The controller that produces it is
+ * ShardedMaster (cluster/shard/sharded_master.h); the durability plane
+ * serializes it (durability/wal.h, putReport) and every byte-identity
+ * check in the repository compares these.
  */
 #ifndef EXIST_CLUSTER_MASTER_H
 #define EXIST_CLUSTER_MASTER_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/crd.h"
-#include "cluster/storage.h"
-#include "core/rco.h"
+#include "util/types.h"
 
 namespace exist {
-
-struct RequestPlan;
-class ControlJournal;
-struct ControlStateDump;
-
-/**
- * Threading model: Master is the *serial* control plane — one thread
- * owns the API-server state (requests_, reports_, the plain stores),
- * so none of it is lock-bearing; only the independent node sessions
- * fan out across the thread pool, and they touch no Master state.
- * The concurrent entry point is ShardedMaster
- * (cluster/shard/sharded_master.h), whose shard/store/metrics locks
- * carry Clang thread-safety annotations (util/thread_annotations.h).
- */
 
 /** The merged outcome of one reconciled trace request. */
 struct TraceReport {
@@ -61,79 +35,6 @@ struct TraceReport {
     double mean_target_cpi = 0.0;
 
     bool operator==(const TraceReport &) const = default;
-};
-
-class Master
-{
-  public:
-    /**
-     * threads: parallelism for reconcile — worker-node sessions (and
-     * their per-core decode fan-out) run on a pool of this width.
-     * 0 = the process-wide shared pool, 1 = fully serial (the
-     * historical behaviour). Reports are bit-identical at any setting:
-     * planning (RCO decisions, per-request RNG draws) and publishing
-     * (OSS/ODPS writes, report assembly) stay serial in request order;
-     * only the independent node sessions run concurrently.
-     */
-    explicit Master(Cluster *cluster, RcoConfig rco_cfg = {},
-                    int threads = 0);
-
-    /** Create a TraceRequest object (API server write). */
-    std::uint64_t submit(TraceRequest req);
-    /** Convenience: submit from a manifest string. */
-    std::uint64_t apply(const std::string &manifest);
-
-    /** Run the controller loop until no request is pending. */
-    void reconcile();
-
-    const TraceRequest *request(std::uint64_t id) const;
-    const TraceReport *report(std::uint64_t id) const;
-
-    ObjectStore &oss() { return oss_; }
-    OdpsTable &odps() { return odps_; }
-    const RepetitionAwareCoverageOptimizer &rco() const { return rco_; }
-    /** Coverage accounting, updated in request-id order. */
-    const CoverageLedger &coverage() const { return ledger_; }
-
-    /** Management-plane resource footprint (paper Fig. 17), including
-     *  the reconcile pool's threads. */
-    struct Footprint {
-        double cores;
-        double memory_mb;
-    };
-    Footprint managementFootprint() const;
-
-    std::uint64_t sessionsRun() const { return sessions_run_; }
-
-    /**
-     * Attach the durability journal (cluster/control_journal.h).
-     * Every mutation hook runs WAL-before-state: the journal append
-     * precedes the in-memory change. nullptr detaches (the historical
-     * in-memory-only behaviour).
-     */
-    void attachJournal(ControlJournal *journal) { journal_ = journal; }
-
-    /** Full state image at a quiesced boundary (snapshot barrier). */
-    ControlStateDump dumpState() const;
-    /** Recovery-only: install a recovered image wholesale. */
-    void restoreForRecovery(const ControlStateDump &dump);
-
-  private:
-    /** Phase 3: publish one planned+run request and register its
-     *  report (serial, request order). */
-    void publishOne(RequestPlan &plan);
-
-    Cluster *cluster_;
-    RepetitionAwareCoverageOptimizer rco_;
-    int threads_;
-    ControlJournal *journal_ = nullptr;
-    std::map<std::uint64_t, TraceRequest> requests_;
-    std::map<std::uint64_t, TraceReport> reports_;
-    ObjectStore oss_;
-    OdpsTable odps_;
-    CoverageLedger ledger_;
-    std::uint64_t next_id_ = 1;
-    std::uint64_t sessions_run_ = 0;
 };
 
 }  // namespace exist

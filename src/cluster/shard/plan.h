@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared reconcile phases of the control plane: planning one
- * TraceRequest into worker-node sessions and publishing the completed
- * sessions into storage + a merged report. Both the serial Master and
- * the ShardedMaster call these, so "sharded reports are bit-identical
- * to serial" holds by construction, not by parallel maintenance of two
- * copies of the logic.
+ * Reconcile phases of the control plane: planning one TraceRequest
+ * into worker-node sessions and publishing the completed sessions into
+ * storage + a merged report. They are free functions of the request
+ * and the cluster state, so ShardedMaster's shard lanes, the
+ * durability plane's capturePublish() and phase-by-phase drivers all
+ * produce the same bytes from them.
  *
  * Determinism contract: planning draws randomness from a *per-request*
  * RNG stream derived by splitmix64 over (cluster seed, request id), so
@@ -46,7 +46,7 @@ struct RequestPlan {
      *  when planning rejected it). planRequest never writes
      *  req->phase itself: the caller owns the transition so it can
      *  apply it under whatever lock guards the request (the
-     *  ShardedMaster's shard lock; the serial Master needs none). */
+     *  ShardedMaster's shard lock). */
     RequestPhase outcome = RequestPhase::kFailed;
     Cycles period = 0;
     std::vector<int> workers;
@@ -72,9 +72,9 @@ RequestPlan planRequest(Cluster *cluster,
                         TraceRequest &req, int threads);
 
 /**
- * Data-path sink for phase 3: raw trace objects and decoded rows. The
- * serial Master backs this with plain ObjectStore/OdpsTable; the
- * sharded path with their striped variants (+ metrics).
+ * Data-path sink for phase 3: raw trace objects and decoded rows.
+ * ShardedMaster backs this with the striped stores (+ metrics); the
+ * durability plane's capturePublish() with an in-memory capture.
  */
 class StoreSink
 {

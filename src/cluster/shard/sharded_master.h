@@ -1,22 +1,28 @@
 /**
  * @file
- * Sharded control plane (the ROADMAP's "sharded cluster reconcile"):
- * the API-server state — TraceRequests, reports, per-request planning
- * RNG streams — is partitioned across N shards by request id; each
- * shard runs its own reconcile loop on the runtime work-stealing pool,
- * publishing to lock-striped stores so shards never contend on one
- * store mutex. Cross-shard invariants (the global id stream, RCO
- * coverage accounting, report registration order) go through a small
- * sequenced CommitLog.
+ * The control plane (paper §3.4 + §4): an API server holding
+ * TraceRequest CRDs and a reconciling controller that, per request,
+ * (1) asks RCO for the tracing period and the set of repetitions,
+ * (2) runs an EXIST session on each selected worker node,
+ * (3) uploads raw trace objects to the object store,
+ * (4) decodes them and writes structured rows to the table store, and
+ * (5) merges per-worker traces into one augmented report.
  *
- * Determinism: reports are bit-identical to the serial Master for any
- * shard count and any scheduling, because
+ * The API-server state — TraceRequests, reports — is partitioned
+ * across N shards by request id; each shard runs its own reconcile
+ * loop on the runtime work-stealing pool, publishing to lock-striped
+ * stores so shards never contend on one store mutex. Cross-shard
+ * invariants (the global id stream, RCO coverage accounting, report
+ * registration order) go through a small sequenced CommitLog. One
+ * shard on one thread is the fully serial controller.
+ *
+ * Determinism: reports are bit-identical for any shard count, thread
+ * count and scheduling, because
  *   - planning uses the per-request RNG stream
- *     splitmix64(cluster seed, request id) (shared planRequest),
+ *     splitmix64(cluster seed, request id) (planRequest),
  *   - sessions are deterministic simulations keyed by (seed, node,
  *     request id),
- *   - publishing iterates sessions in plan order (shared
- *     publishRequest), and
+ *   - publishing iterates sessions in plan order (publishRequest), and
  *   - the sequenced commit applies coverage accounting in global
  *     request-id order.
  * Only wall-clock time changes with the shard count.
@@ -41,15 +47,21 @@
 
 namespace exist {
 
+class ControlJournal;
+class ThreadPool;
+struct ControlStateDump;
+
 class ShardedMaster
 {
   public:
     /**
      * shards: number of API-server shards (reconcile lanes). 0 picks
-     * min(hardware threads, 8). threads: session/decode parallelism
-     * knob with the same meaning as Master's (1 = fully serial
-     * sessions, 0 = shared pool). metrics: registry to record into
-     * (nullptr = the process-global registry).
+     * min(hardware threads, 8). threads: reconcile parallelism — 1
+     * runs shard lanes, sessions and decode inline (fully serial), 0
+     * uses the process-wide shared pool, N > 1 a pool of N; the pool
+     * runs the shard lanes and, nested, each request's worker-node
+     * sessions (planRequest picks the session decode pools). metrics:
+     * registry to record into (nullptr = the process-global registry).
      */
     explicit ShardedMaster(Cluster *cluster, RcoConfig rco_cfg = {},
                            int shards = 0, int threads = 0,
@@ -57,8 +69,13 @@ class ShardedMaster
 
     /** Create a TraceRequest (API server write; thread-safe). */
     std::uint64_t submit(TraceRequest req);
-    /** Convenience: submit from a manifest string. */
-    std::uint64_t apply(const std::string &manifest);
+    /**
+     * Submit from a manifest string. A malformed manifest is rejected
+     * at admission: it gets no id, nothing is journaled, 0 is returned
+     * and, when `error` is given, the reason lands there.
+     */
+    std::uint64_t apply(const std::string &manifest,
+                        ManifestError *error = nullptr);
 
     /** Run every shard's controller loop until nothing is pending. */
     void reconcile();
@@ -87,9 +104,14 @@ class ShardedMaster
         return sessions_run_.load(std::memory_order_relaxed);
     }
 
-    /** Per-shard footprints summed + pool-thread memory (Fig. 17
-     *  telemetry for the sharded plane). */
-    Master::Footprint managementFootprint() const;
+    /** Management-plane resource footprint (paper Fig. 17). */
+    struct Footprint {
+        double cores;
+        double memory_mb;
+    };
+    /** The RCO pod's calibrated cost, plus pool-thread memory and a
+     *  fixed overhead per shard beyond the first. */
+    Footprint managementFootprint() const;
 
     /**
      * Attach the durability journal (cluster/control_journal.h).
@@ -126,11 +148,13 @@ class ShardedMaster
     }
 
     /** Reconcile one shard's pending requests (runs on a pool worker;
-     *  seq_of maps request id -> global commit sequence). */
+     *  seq_of maps request id -> global commit sequence). pool runs a
+     *  request's sessions concurrently; nullptr runs them inline. */
     void reconcileShard(std::size_t index,
                         const std::vector<std::uint64_t> &ids,
                         const std::map<std::uint64_t, std::uint64_t>
-                            &seq_of);
+                            &seq_of,
+                        ThreadPool *pool);
     void recordSessionMetrics(const ExperimentResult &result);
 
     Cluster *cluster_;

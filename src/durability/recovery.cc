@@ -69,7 +69,12 @@ recover(const std::string &dir, metrics::Registry *registry)
             break;
 
           case RecordType::kAdmit: {
-            TraceRequest req = TraceRequest::parse(rec.manifest);
+            TraceRequest req;
+            ManifestError bad = TraceRequest::parse(rec.manifest, &req);
+            if (!bad.ok()) {
+                result.error = lsnError(rec.lsn, bad.message());
+                return result;
+            }
             req.id = rec.request_id;
             req.phase = RequestPhase::kPending;
             if (rec.request_id + 1 > st.dump.next_id)

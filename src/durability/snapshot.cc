@@ -108,10 +108,11 @@ getDump(net::ByteReader &r, ControlStateDump *out)
         std::uint64_t id = r.getVarint();
         std::uint8_t phase = r.getU8();
         std::string manifest = r.getString();
+        TraceRequest req;
         if (!r.ok() ||
-            phase > static_cast<std::uint8_t>(RequestPhase::kFailed))
+            phase > static_cast<std::uint8_t>(RequestPhase::kFailed) ||
+            !TraceRequest::parse(manifest, &req).ok())
             return false;
-        TraceRequest req = TraceRequest::parse(manifest);
         req.id = id;
         req.phase = static_cast<RequestPhase>(phase);
         out->requests.emplace(id, std::move(req));

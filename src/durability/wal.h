@@ -71,8 +71,9 @@ struct ClusterMeta {
     std::uint64_t cluster_seed = 0;
     int num_nodes = 0;
     int cores_per_node = 0;
-    /** API-server shard count the log was written under; 0 = the
-     *  serial Master. Recovery rebuilds the same control plane. */
+    /** API-server shard count the log was written under, as given to
+     *  ShardedMaster (0 = its default). Recovery rebuilds the control
+     *  plane with the same value; reports do not depend on it. */
     int shards = 0;
     std::uint64_t snapshot_interval = 0;
     /** (app, replicas) in deploy order. */

@@ -359,8 +359,9 @@ AppCatalog::cloudSuite()
 std::vector<AppProfile>
 AppCatalog::caseStudySuite()
 {
-    // Figure 21/22 applications. Search/Cache/Prediction reuse the cloud
-    // profiles (renamed per the figure); Matching (BE engine) and
+    // Figure 21/22 applications. Search/Caching/Prediction are variants
+    // of the cloud profiles, named apart from them (every catalog name
+    // is unique, so find() reaches each entry); Matching (BE engine) and
     // Recommend (MVAP) are the two extra AI-powered applications. The
     // category mixes below encode the figure's qualitative findings:
     // Recommend is heavily multi-threaded with rescheduling interrupts
@@ -379,7 +380,7 @@ AppCatalog::caseStudySuite()
         suite.push_back(p);
     }
     {
-        AppProfile p = serviceApp("Cache", "Memory-intensive caching");
+        AppProfile p = serviceApp("Caching", "Memory-intensive caching");
         p.base_cpi = 1.6;
         p.num_threads = 4;
         p.llc_miss_pki = 8.0;

@@ -1,12 +1,16 @@
 /**
  * @file
- * Cluster-layer tests: CRD parsing, storage backends, placement, and
- * the master's reconcile loop end to end.
+ * Cluster-layer tests: CRD parsing and its typed rejections, storage
+ * backends, placement, and the control plane's reconcile loop end to
+ * end.
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "cluster/control_journal.h"
 #include "cluster/crd.h"
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "cluster/storage.h"
 
 namespace exist {
@@ -37,11 +41,117 @@ TEST(Crd, DefaultsAndRoundTrip)
     EXPECT_EQ(again.budget_mb, req.budget_mb);
 }
 
+/** The kind parse() reports for `manifest` (kNone = accepted). */
+ManifestError::Kind
+parseKind(const std::string &manifest)
+{
+    TraceRequest req;
+    return TraceRequest::parse(manifest, &req).kind;
+}
+
+TEST(Crd, MalformedTokenIsTypedError)
+{
+    TraceRequest req;
+    ManifestError err = TraceRequest::parse("appSearch1", &req);
+    EXPECT_EQ(err.kind, ManifestError::Kind::kMalformedToken);
+    EXPECT_EQ(err.token, "appSearch1");
+    EXPECT_NE(err.message().find("malformed"), std::string::npos);
+    EXPECT_EQ(parseKind("app=Search1 bogus"),
+              ManifestError::Kind::kMalformedToken);
+}
+
+TEST(Crd, UnknownKeyIsTypedError)
+{
+    TraceRequest req;
+    ManifestError err = TraceRequest::parse("app=x frobnicate=1", &req);
+    EXPECT_EQ(err.kind, ManifestError::Kind::kUnknownKey);
+    EXPECT_EQ(err.token, "frobnicate=1");
+    EXPECT_NE(err.message().find("unknown"), std::string::npos);
+}
+
+TEST(Crd, BadValueIsTypedError)
+{
+    for (const char *m :
+         {"app=x period_ms=abc", "app=x period_ms=20ms",
+          "app=x period_ms=-5", "app=x period_ms=1e300",
+          "app=x period_ms=nan", "app=x budget_mb=-1",
+          "app=x budget_mb=99999999999999999999999",
+          "app=x core_sample_ratio=1.5", "app=x loss=2",
+          "app=x reorder=-0.1", "app=x duplicate=", "app=x anomaly=yes",
+          "app=x link_latency_us=inf", "app=x tnt_memo_bits=-1",
+          "app=x tnt_memo_bits=99999999999", "app=x snapshot_interval=x"}) {
+        SCOPED_TRACE(m);
+        TraceRequest req;
+        ManifestError err = TraceRequest::parse(m, &req);
+        EXPECT_EQ(err.kind, ManifestError::Kind::kBadValue);
+        EXPECT_EQ(err.token, std::string(m).substr(6));
+    }
+    // The accepted boolean spellings and range ends still parse.
+    EXPECT_EQ(parseKind("app=x anomaly=1 ring=off decode_cache=on "
+                        "loss=0 reorder=1 core_sample_ratio=1e-1 "
+                        "period_ms=0"),
+              ManifestError::Kind::kNone);
+}
+
+TEST(Crd, MissingAppIsTypedError)
+{
+    EXPECT_EQ(parseKind("anomaly=true"), ManifestError::Kind::kMissingApp);
+    EXPECT_EQ(parseKind("app= anomaly=true"),
+              ManifestError::Kind::kMissingApp);
+    EXPECT_EQ(parseKind(""), ManifestError::Kind::kMissingApp);
+}
+
+/** Counts journal appends (admission must journal nothing for a
+ *  rejected manifest). */
+class CountingJournal : public ControlJournal
+{
+  public:
+    void onAdmit(const TraceRequest &) override { ++admits; }
+    void onPlanned(std::uint64_t, RequestPhase) override {}
+    CollectHooks collectHooks(std::uint64_t) override { return {}; }
+    void onPublish(std::uint64_t, const PublishEffects &) override {}
+
+    int admits = 0;
+};
+
 TEST(Crd, RejectsMalformedManifests)
 {
-    EXPECT_DEATH(TraceRequest::parse("appSearch1"), "malformed");
-    EXPECT_DEATH(TraceRequest::parse("app=x frobnicate=1"), "unknown");
-    EXPECT_DEATH(TraceRequest::parse("anomaly=true"), "missing app");
+    // A bad manifest fails at admission only: it consumes no id and no
+    // journal record, and the valid requests around it still complete.
+    ClusterConfig cc;
+    cc.num_nodes = 2;
+    cc.cores_per_node = 4;
+    Cluster cluster(cc);
+    cluster.deploy("Cache", 2);
+    metrics::Registry registry;
+    CountingJournal journal;
+    ShardedMaster master(&cluster, {}, 2, 1, &registry);
+    master.attachJournal(&journal);
+
+    std::uint64_t ok1 = master.apply("app=Cache anomaly=true period_ms=20");
+    std::vector<ManifestError::Kind> kinds;
+    for (const char *bad : {"appSearch1", "app=x frobnicate=1",
+                            "app=Cache period_ms=abc", "anomaly=true"}) {
+        ManifestError err;
+        EXPECT_EQ(master.apply(bad, &err), 0u) << bad;
+        kinds.push_back(err.kind);
+    }
+    EXPECT_EQ(master.apply("app=Cache bogus"), 0u);  // no error sink
+    std::uint64_t ok2 = master.apply("app=Cache anomaly=true period_ms=20");
+    EXPECT_EQ(kinds, (std::vector<ManifestError::Kind>{
+                         ManifestError::Kind::kMalformedToken,
+                         ManifestError::Kind::kUnknownKey,
+                         ManifestError::Kind::kBadValue,
+                         ManifestError::Kind::kMissingApp}));
+    EXPECT_EQ(ok1, 1u);
+    EXPECT_EQ(ok2, 2u);
+    EXPECT_EQ(journal.admits, 2);
+    EXPECT_EQ(registry.counter("api.rejects").value(), 5u);
+
+    master.reconcile();
+    EXPECT_EQ(master.request(ok1)->phase, RequestPhase::kCompleted);
+    EXPECT_EQ(master.request(ok2)->phase, RequestPhase::kCompleted);
+    EXPECT_EQ(master.request(3), nullptr);
 }
 
 TEST(ObjectStoreTest, PutGetListAndOverwrite)
@@ -108,7 +218,7 @@ TEST(MasterTest, ReconcileLifecycle)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Cache", 3);
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
 
     std::uint64_t id = master.apply(
         "app=Cache anomaly=true period_ms=60");
@@ -135,7 +245,7 @@ TEST(MasterTest, ReconcileLifecycle)
 TEST(MasterTest, UndeployedAppFails)
 {
     Cluster cluster(ClusterConfig{.num_nodes = 2});
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id = master.apply("app=NotThere");
     // Parsing accepts it (the app name is opaque until reconcile).
     master.reconcile();
@@ -147,7 +257,7 @@ TEST(MasterTest, FootprintScalesSubLinearly)
 {
     Cluster small(ClusterConfig{.num_nodes = 10});
     Cluster big(ClusterConfig{.num_nodes = 1000});
-    Master m1(&small), m2(&big);
+    ShardedMaster m1(&small, {}, 1), m2(&big, {}, 1);
     auto f1 = m1.managementFootprint();
     auto f2 = m2.managementFootprint();
     EXPECT_LT(f1.cores, 0.005);  // paper: <3e-3 cores at ten nodes
@@ -164,7 +274,7 @@ TEST(MasterTest, PersonalizedOptionsAreHonored)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Search2", 2);  // CPU-share profile
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id = master.apply(
         "app=Search2 anomaly=true period_ms=60 ring=true "
         "core_sample_ratio=0.5 budget_mb=64");
@@ -177,23 +287,6 @@ TEST(MasterTest, PersonalizedOptionsAreHonored)
     // core objects per traced node.
     auto keys = master.oss().listPrefix("traces/Search2/");
     EXPECT_EQ(keys.size(), 2u * 2u);
-}
-
-TEST(MasterTest, RepeatedReconcileIsIdempotent)
-{
-    ClusterConfig cc;
-    cc.num_nodes = 2;
-    cc.cores_per_node = 4;
-    Cluster cluster(cc);
-    cluster.deploy("Cache", 2);
-    Master master(&cluster);
-    std::uint64_t id =
-        master.apply("app=Cache anomaly=true period_ms=50");
-    master.reconcile();
-    std::uint64_t sessions = master.sessionsRun();
-    master.reconcile();  // nothing pending: no new work
-    EXPECT_EQ(master.sessionsRun(), sessions);
-    EXPECT_EQ(master.odps().queryRequest(id).size(), 2u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
  * spill-and-summarize degradation, and the ISSUE 6 acceptance gates —
  * results and control-plane reports byte-identical to in-process
  * delivery at drop rates {0, 0.01, 0.05} with reordering, for the
- * Testbed path, the serial Master and the ShardedMaster.
+ * Testbed path and the control plane at any shard count.
  */
 #include <gtest/gtest.h>
 
@@ -16,9 +16,9 @@
 #include "analysis/testbed.h"
 #include "cluster/collection.h"
 #include "cluster/ingest.h"
-#include "cluster/master.h"
 #include "cluster/session_payload.h"
 #include "cluster/shard/sharded_master.h"
+#include "report_digest.h"
 #include "util/rng.h"
 
 namespace exist {
@@ -343,29 +343,37 @@ demoConfig()
     return cc;
 }
 
-/** ISSUE 6 acceptance: Master reports with net enabled at drop rates
+/** Golden digest (report_digest.h) of netManifests()' reports on
+ *  demoConfig(), recorded from the original serial controller: the
+ *  same at every drop rate and for the in-process hand-off. */
+constexpr std::uint64_t kNetDigest = 0x402c999965ae7886ULL;
+
+/** Control-plane reports with net enabled at drop rates
  *  {0, 0.01, 0.05} + reordering equal the in-process reports. */
 TEST(CollectionAcceptance, MasterReportsIdenticalAcrossDropRates)
 {
     // In-process baseline (no net= keys).
     Cluster base_cluster(demoConfig());
     base_cluster.deploy("Cache", 3);
-    Master baseline(&base_cluster, {}, 1);
+    ShardedMaster baseline(&base_cluster, {}, 1, 1);
     std::vector<std::uint64_t> base_ids;
     for (const std::string &m : netManifests(0.0)) {
         std::string stripped = m.substr(0, m.find(" net="));
         base_ids.push_back(baseline.apply(stripped));
     }
     baseline.reconcile();
+    EXPECT_EQ(reportDigest(baseline, base_ids), kNetDigest);
 
     for (double drop : {0.0, 0.01, 0.05}) {
         Cluster cluster(demoConfig());
         cluster.deploy("Cache", 3);
-        Master master(&cluster, {}, 1);
+        ShardedMaster master(&cluster, {}, 1, 1);
         std::vector<std::uint64_t> ids;
         for (const std::string &m : netManifests(drop))
             ids.push_back(master.apply(m));
         master.reconcile();
+        EXPECT_EQ(reportDigest(master, ids), kNetDigest)
+            << "drop=" << drop;
 
         ASSERT_EQ(ids.size(), base_ids.size());
         for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -383,19 +391,19 @@ TEST(CollectionAcceptance, MasterReportsIdenticalAcrossDropRates)
     }
 }
 
-/** Sharded reports with net enabled stay bit-identical to the serial
- *  Master's — the fabric is seeded per request, not per shard. */
+/** Reports with net enabled are bit-identical at any shard count —
+ *  the fabric is seeded per request, not per shard. */
 TEST(CollectionAcceptance, ShardedMasterMatchesSerialWithNet)
 {
     std::vector<std::string> manifests = netManifests(0.05);
 
-    Cluster serial_cluster(demoConfig());
-    serial_cluster.deploy("Cache", 3);
-    Master serial(&serial_cluster, {}, 1);
-    std::vector<std::uint64_t> serial_ids;
+    Cluster ref_cluster(demoConfig());
+    ref_cluster.deploy("Cache", 3);
+    ShardedMaster ref(&ref_cluster, {}, 1, 1);
+    std::vector<std::uint64_t> ref_ids;
     for (const std::string &m : manifests)
-        serial_ids.push_back(serial.apply(m));
-    serial.reconcile();
+        ref_ids.push_back(ref.apply(m));
+    ref.reconcile();
 
     for (int shards : {1, 4}) {
         Cluster cluster(demoConfig());
@@ -406,9 +414,11 @@ TEST(CollectionAcceptance, ShardedMasterMatchesSerialWithNet)
         for (const std::string &m : manifests)
             ids.push_back(sharded.apply(m));
         sharded.reconcile();
+        EXPECT_EQ(reportDigest(sharded, ids), kNetDigest)
+            << "shards=" << shards;
 
         for (std::size_t i = 0; i < ids.size(); ++i) {
-            const TraceReport *a = serial.report(serial_ids[i]);
+            const TraceReport *a = ref.report(ref_ids[i]);
             const TraceReport *b = sharded.report(ids[i]);
             ASSERT_NE(a, nullptr);
             ASSERT_NE(b, nullptr);

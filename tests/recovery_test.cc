@@ -383,7 +383,7 @@ TEST(CrashPointTest, NamedCountAndStepArming)
 // ---------------------------------------------------------------
 
 struct RunConfig {
-    int shards = 1;  ///< 0 = the serial Master
+    int shards = 1;  ///< 0 = ShardedMaster's default count
     bool streaming = false;
     bool net = false;
     std::uint64_t snapshot_interval = 0;  ///< 0 = never snapshot
@@ -453,9 +453,8 @@ struct Artifacts {
     CoverageLedger ledger;
 };
 
-template <typename MasterT>
 Artifacts
-captureArtifacts(MasterT &master)
+captureArtifacts(ShardedMaster &master)
 {
     Artifacts a;
     for (std::uint64_t id = 1; id <= kRequests; ++id) {
@@ -497,9 +496,8 @@ expectArtifactsEqual(const Artifacts &got, const Artifacts &want)
     EXPECT_TRUE(got.ledger == want.ledger);
 }
 
-template <typename MasterT>
 Artifacts
-driveToCompletion(MasterT &master,
+driveToCompletion(ShardedMaster &master,
                   const std::vector<std::string> &manifests)
 {
     for (const std::string &m : manifests)
@@ -514,25 +512,22 @@ golden(const RunConfig &cfg)
 {
     Cluster cluster(smallConfig());
     cluster.deploy(kApp, kReplicas);
-    std::vector<std::string> ms = demoManifests(cfg);
-    if (cfg.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return driveToCompletion(master, ms);
-    }
     ShardedMaster master(&cluster, {}, cfg.shards, 1);
-    return driveToCompletion(master, ms);
+    return driveToCompletion(master, demoManifests(cfg));
 }
 
 /** Run journaled to completion (threads=1 so an armed crash unwinds
  *  here); returns true if the armed crash fired. */
-template <typename MasterT>
 bool
-runJournaled(MasterT &master, Journal &journal,
-             const std::vector<std::string> &manifests)
+journaledRun(const RunConfig &cfg, const fs::path &dir)
 {
+    Cluster cluster(smallConfig());
+    cluster.deploy(kApp, kReplicas);
+    Journal journal(specFor(cfg, dir), metaFor(cfg));
+    ShardedMaster master(&cluster, {}, cfg.shards, 1);
     master.attachJournal(&journal);
     try {
-        for (const std::string &m : manifests)
+        for (const std::string &m : demoManifests(cfg))
             master.apply(m);
         master.reconcile();
         journal.maybeSnapshot(
@@ -541,21 +536,6 @@ runJournaled(MasterT &master, Journal &journal,
         return true;
     }
     return false;
-}
-
-bool
-journaledRun(const RunConfig &cfg, const fs::path &dir)
-{
-    Cluster cluster(smallConfig());
-    cluster.deploy(kApp, kReplicas);
-    Journal journal(specFor(cfg, dir), metaFor(cfg));
-    std::vector<std::string> ms = demoManifests(cfg);
-    if (cfg.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return runJournaled(master, journal, ms);
-    }
-    ShardedMaster master(&cluster, {}, cfg.shards, 1);
-    return runJournaled(master, journal, ms);
 }
 
 /** Recover `dir`, finish the run (client-retrying admissions the WAL
@@ -587,22 +567,14 @@ recoverAndFinish(const RunConfig &cfg, const fs::path &dir)
             static_cast<std::ptrdiff_t>(st.dump.next_id - 1),
         ms.end());
 
-    auto finish = [&](auto &master) {
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        for (const std::string &m : missing)
-            master.apply(m);
-        master.reconcile();
-        journal.maybeSnapshot(
-            [&master] { return master.dumpState(); });
-        return captureArtifacts(master);
-    };
-    if (st.meta.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return finish(master);
-    }
     ShardedMaster master(&cluster, {}, st.meta.shards, 1);
-    return finish(master);
+    master.restoreForRecovery(st.dump);
+    master.attachJournal(&journal);
+    for (const std::string &m : missing)
+        master.apply(m);
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    return captureArtifacts(master);
 }
 
 void
@@ -682,13 +654,17 @@ TEST(RecoveryMatrixTest, EveryNamedPointShardedStreamingNet)
                             "named" + std::to_string(i++));
 }
 
-TEST(RecoveryMatrixTest, SerialMasterCrashRecover)
+TEST(RecoveryMatrixTest, ShardsZeroMetaCrashRecover)
 {
-    // meta.shards == 0: recovery rebuilds the serial Master.
+    // meta.shards == 0, as `existctl trace --wal` without --shards
+    // writes it: recovery rebuilds the control plane at its default
+    // shard count with no special case, and every artifact is
+    // byte-identical to a one-shard run's.
     RunConfig cfg{/*shards=*/0, false, true, 0};
     Artifacts want = golden(cfg);
-    crashRecoverCompare(cfg, "pre-store:2", want, "serial");
-    crashRecoverCompare(cfg, "ingest-frame:2", want, "serial2");
+    expectArtifactsEqual(want, golden(RunConfig{1, false, true, 0}));
+    crashRecoverCompare(cfg, "pre-store:2", want, "shards0");
+    crashRecoverCompare(cfg, "ingest-frame:2", want, "shards0b");
 }
 
 TEST(RecoveryMatrixTest, RandomizedEventQueueSteps)
@@ -719,7 +695,7 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
 {
     // WAL on vs off: journaling is pure observation. Also pins that
     // a crash-free journaled run leaves a replayable log behind.
-    for (int shards : {0, 2}) {
+    for (int shards : {1, 4}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         RunConfig cfg{shards, false, false, /*snapshot_interval=*/2};
         Artifacts want = golden(cfg);
@@ -728,21 +704,10 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
         Cluster cluster(smallConfig());
         cluster.deploy(kApp, kReplicas);
         Journal journal(specFor(cfg, dir), metaFor(cfg));
-        std::vector<std::string> ms = demoManifests(cfg);
-        Artifacts got;
-        if (shards == 0) {
-            Master master(&cluster, {}, 1);
-            master.attachJournal(&journal);
-            got = driveToCompletion(master, ms);
-            journal.maybeSnapshot(
-                [&master] { return master.dumpState(); });
-        } else {
-            ShardedMaster master(&cluster, {}, shards, 1);
-            master.attachJournal(&journal);
-            got = driveToCompletion(master, ms);
-            journal.maybeSnapshot(
-                [&master] { return master.dumpState(); });
-        }
+        ShardedMaster master(&cluster, {}, shards, 1);
+        master.attachJournal(&journal);
+        Artifacts got = driveToCompletion(master, demoManifests(cfg));
+        journal.maybeSnapshot([&master] { return master.dumpState(); });
         expectArtifactsEqual(got, want);
 
         // The log it left is itself recoverable, with nothing

@@ -1,10 +1,11 @@
 /**
  * @file
- * Sharded control-plane tests: the headline determinism guarantee
- * (ShardedMaster reports are bit-identical to the serial Master for
- * any shard count × submit order), commit-log ordering, and
- * TSan-targeted stress of concurrent submits, striped stores and the
- * lock-striped metrics registry (runs in the `concurrency` suite).
+ * Control-plane tests: the headline determinism guarantee (reports are
+ * bit-identical for any shard count × submit order, and match golden
+ * digests recorded from the original serial controller), commit-log
+ * ordering, and TSan-targeted stress of concurrent submits, striped
+ * stores and the lock-striped metrics registry (runs in the
+ * `concurrency` suite).
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
 #include "cluster/shard/sharded_master.h"
+#include "report_digest.h"
 
 namespace exist {
 namespace {
@@ -52,6 +54,18 @@ demoManifests()
     };
 }
 
+/**
+ * Independent oracle: digests (report_digest.h) of the reports that
+ * the single-threaded serial controller — planning, running and
+ * publishing one request at a time — produced for demoManifests() on
+ * smallConfig(), in submit order and in the reversed and rotated
+ * orders. Recorded before that controller was folded into
+ * ShardedMaster; every shard count must still reproduce them.
+ */
+constexpr std::uint64_t kDemoDigest = 0x742fa660bd795483ULL;
+constexpr std::uint64_t kReversedDigest = 0x98dde3f31210054fULL;
+constexpr std::uint64_t kRotatedDigest = 0xbd4980c55a1a38c8ULL;
+
 void
 expectReportsEqual(const TraceReport &a, const TraceReport &b)
 {
@@ -85,96 +99,106 @@ sortedRows(std::vector<const TraceRow *> rows)
     return out;
 }
 
-/** Run one submit stream through a serial Master and a ShardedMaster
- *  with `shards` shards and compare every observable artifact. */
-void
-compareSerialVsSharded(const std::vector<std::string> &manifests,
-                       int shards)
-{
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-
-    Cluster serial_cluster(smallConfig());
-    deployDemo(serial_cluster);
-    Master serial(&serial_cluster, {}, 1);
-
-    Cluster sharded_cluster(smallConfig());
-    deployDemo(sharded_cluster);
+/** One submit stream reconciled on a fresh demo cluster. */
+struct DemoRun {
+    Cluster cluster{smallConfig()};
     metrics::Registry registry;
-    ShardedMaster sharded(&sharded_cluster, {}, shards, 2, &registry);
+    ShardedMaster master;
+    std::vector<std::uint64_t> ids;
 
-    std::vector<std::uint64_t> serial_ids, sharded_ids;
-    for (const std::string &m : manifests) {
-        serial_ids.push_back(serial.apply(m));
-        sharded_ids.push_back(sharded.apply(m));
+    DemoRun(const std::vector<std::string> &manifests, int shards,
+            int threads)
+        : master(&cluster, {}, shards, threads, &registry)
+    {
+        deployDemo(cluster);
+        for (const std::string &m : manifests)
+            ids.push_back(master.apply(m));
+        master.reconcile();
     }
-    ASSERT_EQ(serial_ids, sharded_ids);  // same global id stream
 
-    serial.reconcile();
-    sharded.reconcile();
+    std::uint64_t digest() const { return reportDigest(master, ids); }
+};
 
-    for (std::uint64_t id : serial_ids) {
+/** Compare every observable artifact of `got` with the reference. */
+void
+expectMatchesReference(DemoRun &ref, DemoRun &got)
+{
+    ASSERT_EQ(ref.ids, got.ids);  // same global id stream
+    for (std::uint64_t id : ref.ids) {
         SCOPED_TRACE("request " + std::to_string(id));
-        ASSERT_NE(serial.request(id), nullptr);
-        ASSERT_NE(sharded.request(id), nullptr);
-        EXPECT_EQ(serial.request(id)->phase, sharded.request(id)->phase);
-        const TraceReport *a = serial.report(id);
-        const TraceReport *b = sharded.report(id);
+        ASSERT_NE(ref.master.request(id), nullptr);
+        ASSERT_NE(got.master.request(id), nullptr);
+        EXPECT_EQ(ref.master.request(id)->phase,
+                  got.master.request(id)->phase);
+        const TraceReport *a = ref.master.report(id);
+        const TraceReport *b = got.master.report(id);
         ASSERT_EQ(a == nullptr, b == nullptr);
         if (a != nullptr)
             expectReportsEqual(*a, *b);
         // ODPS rows for the request match field-for-field.
-        EXPECT_EQ(sortedRows(serial.odps().queryRequest(id)),
-                  sortedRows(sharded.odps().queryRequest(id)));
+        EXPECT_EQ(sortedRows(ref.master.odps().queryRequest(id)),
+                  sortedRows(got.master.odps().queryRequest(id)));
     }
 
     // OSS holds the same objects with the same bytes.
-    auto serial_keys = serial.oss().listPrefix("traces/");
-    auto sharded_keys = sharded.oss().listPrefix("traces/");
-    EXPECT_EQ(serial_keys, sharded_keys);
-    for (const std::string &key : serial_keys)
-        EXPECT_EQ(serial.oss().get(key), sharded.oss().get(key));
-    EXPECT_EQ(serial.oss().totalBytes(), sharded.oss().totalBytes());
-    EXPECT_EQ(serial.odps().rowCount(), sharded.odps().rowCount());
+    auto ref_keys = ref.master.oss().listPrefix("traces/");
+    auto got_keys = got.master.oss().listPrefix("traces/");
+    EXPECT_EQ(ref_keys, got_keys);
+    for (const std::string &key : ref_keys)
+        EXPECT_EQ(ref.master.oss().get(key), got.master.oss().get(key));
+    EXPECT_EQ(ref.master.oss().totalBytes(), got.master.oss().totalBytes());
+    EXPECT_EQ(ref.master.odps().rowCount(), got.master.odps().rowCount());
 
     // Coverage accounting committed in request order matches exactly.
-    EXPECT_TRUE(serial.coverage() == sharded.coverage());
-    EXPECT_EQ(serial.sessionsRun(), sharded.sessionsRun());
+    EXPECT_TRUE(ref.master.coverage() == got.master.coverage());
+    EXPECT_EQ(ref.master.sessionsRun(), got.master.sessionsRun());
 
     // The control plane observed itself.
-    EXPECT_EQ(registry.counter("api.submits").value(),
-              manifests.size());
-    EXPECT_EQ(registry.counter("commitlog.commits").value(),
-              manifests.size());
-    EXPECT_EQ(registry.histogram("reconcile.latency_us").count(),
-              manifests.size());
+    std::size_t n = got.ids.size();
+    EXPECT_EQ(got.registry.counter("api.submits").value(), n);
+    EXPECT_EQ(got.registry.counter("commitlog.commits").value(), n);
+    EXPECT_EQ(got.registry.histogram("reconcile.latency_us").count(), n);
     std::uint64_t shard_reconciles = 0;
-    for (int s = 0; s < sharded.shardCount(); ++s)
-        shard_reconciles += registry
+    for (int s = 0; s < got.master.shardCount(); ++s)
+        shard_reconciles += got.registry
                                 .counter("shard." + std::to_string(s) +
                                          ".reconciles")
                                 .value();
-    EXPECT_EQ(shard_reconciles, manifests.size());
+    EXPECT_EQ(shard_reconciles, n);
+}
+
+/** Reconcile `manifests` at 1, 2, 4 and 8 shards: each run must hit
+ *  the golden digest and match the one-shard, one-thread reference
+ *  artifact for artifact. */
+void
+checkShardCounts(const std::vector<std::string> &manifests,
+                 std::uint64_t golden)
+{
+    DemoRun ref(manifests, 1, 1);
+    EXPECT_EQ(ref.digest(), golden);
+    for (int shards : {1, 2, 4, 8}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        DemoRun got(manifests, shards, 2);
+        EXPECT_EQ(got.digest(), golden);
+        expectMatchesReference(ref, got);
+    }
 }
 
 TEST(ShardedMasterTest, BitIdenticalToSerialAcrossShardCounts)
 {
-    for (int shards : {1, 2, 4, 8})
-        compareSerialVsSharded(demoManifests(), shards);
+    checkShardCounts(demoManifests(), kDemoDigest);
 }
 
 TEST(ShardedMasterTest, BitIdenticalUnderInterleavedSubmitOrders)
 {
     // Same request set, different interleavings: each order forms its
-    // own id stream; within an order, every shard count must agree
-    // with the serial Master fed that same order.
+    // own id stream, with its own golden digest.
     std::vector<std::string> reversed = demoManifests();
     std::reverse(reversed.begin(), reversed.end());
+    checkShardCounts(reversed, kReversedDigest);
     std::vector<std::string> rotated = demoManifests();
     std::rotate(rotated.begin(), rotated.begin() + 2, rotated.end());
-
-    for (const auto &order : {reversed, rotated})
-        for (int shards : {2, 8})
-            compareSerialVsSharded(order, shards);
+    checkShardCounts(rotated, kRotatedDigest);
 }
 
 TEST(ShardedMasterTest, FailedRequestsCommitInOrder)
@@ -222,17 +246,20 @@ TEST(ShardedMasterTest, FootprintSumsPerShardAndPoolThreads)
     Cluster cluster(smallConfig());
     deployDemo(cluster);
     metrics::Registry registry;
+    ShardedMaster m1(&cluster, {}, 1, 2, &registry);
     ShardedMaster m2(&cluster, {}, 2, 2, &registry);
     ShardedMaster m8(&cluster, {}, 8, 2, &registry);
-    Master serial(&cluster, {}, 2);
 
+    auto f1 = m1.managementFootprint();
     auto f2 = m2.managementFootprint();
     auto f8 = m8.managementFootprint();
-    auto fs = serial.managementFootprint();
-    // Sharding adds per-shard overhead, never reduces the total below
-    // the serial plane's state.
-    EXPECT_GT(f8.memory_mb, f2.memory_mb);
-    EXPECT_GE(f2.memory_mb, fs.memory_mb);
+    // One shard is exactly the calibrated Fig. 17 formula (3 nodes,
+    // 2 pool threads); each further shard adds 0.5 MB, no cores.
+    EXPECT_EQ(f1.cores, 0.0008 + 0.0002 * 3 + 5e-6 * 2);
+    EXPECT_EQ(f1.memory_mb, 36.0 + 0.4 * 3 + 8.0 * 2);
+    EXPECT_DOUBLE_EQ(f2.memory_mb, f1.memory_mb + 0.5);
+    EXPECT_DOUBLE_EQ(f8.memory_mb, f1.memory_mb + 3.5);
+    EXPECT_EQ(f8.cores, f1.cores);
     // Still per-mille territory on a small cluster.
     EXPECT_LT(f8.cores, 0.01);
 }
@@ -241,8 +268,8 @@ TEST(ShardedMasterTest, FootprintScalesWithThreads)
 {
     // Satellite fix: the footprint must depend on the pool width.
     Cluster cluster(smallConfig());
-    Master narrow(&cluster, {}, 2);
-    Master wide(&cluster, {}, 16);
+    ShardedMaster narrow(&cluster, {}, 1, 2);
+    ShardedMaster wide(&cluster, {}, 1, 16);
     EXPECT_GT(wide.managementFootprint().memory_mb,
               narrow.managementFootprint().memory_mb);
     EXPECT_GT(wide.managementFootprint().cores,

@@ -255,6 +255,25 @@ TEST(Catalog, FindsAllSuitesAndRejectsUnknown)
     EXPECT_DEATH(AppCatalog::find("no-such-app"), "unknown");
 }
 
+TEST(Catalog, NamesAreUniqueAndFindReachesEveryEntry)
+{
+    std::set<std::string> seen;
+    for (auto suite : {AppCatalog::specSuite(), AppCatalog::onlineSuite(),
+                       AppCatalog::cloudSuite(),
+                       AppCatalog::caseStudySuite(),
+                       AppCatalog::auxSuite()})
+        for (const AppProfile &p : suite) {
+            EXPECT_TRUE(seen.insert(p.name).second)
+                << "duplicate app name " << p.name;
+            // find() must return this very entry, not a namesake.
+            AppProfile found = AppCatalog::find(p.name);
+            EXPECT_EQ(found.description, p.description) << p.name;
+            EXPECT_EQ(found.base_cpi, p.base_cpi) << p.name;
+            EXPECT_EQ(found.num_threads, p.num_threads) << p.name;
+        }
+    EXPECT_EQ(seen.size(), AppCatalog::allNames().size());
+}
+
 TEST(Catalog, CategoryWeightsNormalized)
 {
     for (const std::string &name : AppCatalog::allNames()) {

@@ -173,7 +173,7 @@ def summarize(records):
         summary["reconcile_throughput"] = {
             "best_requests_per_sec": best.get("requests_per_sec"),
             "best_shards": best.get("shards"),
-            "best_speedup_vs_serial": best.get("speedup"),
+            "best_speedup_vs_one_shard": best.get("speedup"),
             "p99_latency_us_at_best": best.get("p99_latency_us"),
             "all_identical": all(r.get("identical") for r in rec),
         }

@@ -1,7 +1,7 @@
 /**
  * @file
  * existctl — the operator CLI over the EXIST library (the paper's
- * "easy-to-use interface", §3.1/§4). Three commands:
+ * "easy-to-use interface", §3.1/§4). Commands:
  *
  *   existctl list-apps
  *       Show the workload catalog.
@@ -37,7 +37,8 @@
  *       Stand up a demo ten-node cluster with the cloud applications
  *       deployed, apply each TraceRequest manifest (e.g.
  *       "app=Search1 anomaly=true period_ms=200"), reconcile, and
- *       print the merged reports.
+ *       print the merged reports. A malformed manifest is rejected
+ *       on stderr; the others still reconcile.
  *
  *   existctl metrics [<manifest>...] [--shards N] [--threads N]
  *       Dump the process-global control-plane metrics registry as one
@@ -47,9 +48,10 @@
  *
  *   existctl trace <app> --wal DIR [--snapshot-interval K]
  *                        [--crash-at P] [--shards N] ...
- *       Durability mode (DESIGN.md §12): the control plane (serial
- *       without --shards, sharded with) journals every mutation into
- *       DIR's write-ahead log and snapshots every K publishes.
+ *       Durability mode (DESIGN.md §12): the control plane (at its
+ *       default shard count without --shards) journals every
+ *       mutation into DIR's write-ahead log and snapshots every K
+ *       publishes.
  *       --crash-at arms a named crash point ("admit", "post-plan",
  *       "ingest-frame", "pre-store", "mid-snapshot", "post-snapshot",
  *       optionally ":n" for the nth crossing, or "step:N") — the
@@ -87,15 +89,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/behavior_report.h"
 #include "analysis/report.h"
 #include "analysis/testbed.h"
 #include "cluster/collection.h"
-#include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/sharded_master.h"
 #include "core/exist_backend.h"
@@ -162,9 +166,8 @@ cmdListApps()
 
 /** Print one reconciled request deterministically (stdout must stay
  *  byte-comparable across shard/thread counts). */
-template <typename MasterT>
 void
-printReports(MasterT &master, const std::vector<std::uint64_t> &ids)
+printReports(ShardedMaster &master, const std::vector<std::uint64_t> &ids)
 {
     for (std::uint64_t id : ids) {
         const TraceRequest *req = master.request(id);
@@ -184,31 +187,18 @@ printReports(MasterT &master, const std::vector<std::uint64_t> &ids)
                 master.oss().objectCount(), master.odps().rowCount());
 }
 
-/** Render the collection-plane knobs as manifest keys. */
-std::string
-netManifest(const net::NetSpec &net)
-{
-    if (!net.enabled)
-        return "";
-    std::string m = " net=true";
-    if (net.drop_rate > 0)
-        m += " loss=" + std::to_string(net.drop_rate);
-    if (net.reorder_rate > 0)
-        m += " reorder=" + std::to_string(net.reorder_rate);
-    if (net.duplicate_rate > 0)
-        m += " duplicate=" + std::to_string(net.duplicate_rate);
-    if (net.link_latency_us != 50.0)
-        m += " link_latency_us=" + std::to_string(net.link_latency_us);
-    return m;
-}
-
-/** `trace --shards N`: the same request, reconciled by the sharded
- *  control plane on a demo cluster deploying the app. */
+/** `trace --shards N` / `trace --wal DIR`: four anomaly requests for
+ *  the app, reconciled by the control plane on a demo cluster that
+ *  deploys it — with a WAL directory, under the durability journal.
+ *  stdout is byte-identical across shard counts and with or without
+ *  the journal. */
 int
-traceSharded(const std::string &app, double period_ms,
+traceCluster(const std::string &app, double period_ms,
              std::uint64_t budget_mb, int shards, int threads,
              bool decode_cache, int tnt_memo_bits,
-             const net::NetSpec &net)
+             const net::NetSpec &net, const std::string &wal_dir,
+             std::uint64_t snapshot_interval,
+             const std::string &crash_at)
 {
     ClusterConfig cc;
     cc.num_nodes = 6;
@@ -216,34 +206,76 @@ traceSharded(const std::string &app, double period_ms,
     Cluster cluster(cc);
     cluster.deploy(app, 3);
 
+    // Whole milliseconds, so the journaled manifest replays exactly.
+    TraceRequest req;
+    req.app = app;
+    req.anomaly = true;
+    req.period_override = static_cast<Cycles>(
+        static_cast<long long>(period_ms) * kCyclesPerMs);
+    req.budget_mb = budget_mb;
+    req.decode_cache = decode_cache;
+    req.tnt_memo_bits = tnt_memo_bits;
+    req.net = net.enabled;
+    req.net_loss = net.drop_rate;
+    req.net_reorder = net.reorder_rate;
+    req.net_duplicate = net.duplicate_rate;
+    req.net_link_latency_us = net.link_latency_us;
+    std::string manifest = req.toManifest();
+
+    std::unique_ptr<durability::Journal> journal;
+    std::string wal_note;
+    if (!wal_dir.empty()) {
+        durability::ClusterMeta meta;
+        meta.cluster_seed = cc.seed;
+        meta.num_nodes = cc.num_nodes;
+        meta.cores_per_node = cc.cores_per_node;
+        meta.shards = shards;
+        meta.snapshot_interval = snapshot_interval;
+        meta.deployments = {{app, 3}};
+        durability::DurabilitySpec dspec;
+        dspec.wal_dir = wal_dir;
+        dspec.snapshot_interval = snapshot_interval;
+        journal = std::make_unique<durability::Journal>(
+            dspec, meta, &metrics::Registry::global());
+        // wal= rides in the manifest to exercise the CRD key end to
+        // end; toManifest() omits it, so the printed request lines
+        // (and hence stdout) stay byte-comparable with a non-WAL run.
+        manifest += " wal=" + wal_dir;
+        wal_note = " under WAL " + wal_dir + " (snapshot interval " +
+                   std::to_string(snapshot_interval) + ")";
+        if (!crash_at.empty())
+            wal_note += ", crash at " + crash_at;
+    }
+
     ShardedMaster master(&cluster, {}, shards, threads);
-    std::string manifest =
-        "app=" + app + " anomaly=true period_ms=" +
-        std::to_string(static_cast<long long>(period_ms)) +
-        " budget_mb=" + std::to_string(budget_mb);
-    if (!decode_cache)
-        manifest += " decode_cache=off";
-    if (tnt_memo_bits != 6)
-        manifest += " tnt_memo_bits=" + std::to_string(tnt_memo_bits);
-    manifest += netManifest(net);
+    master.attachJournal(journal.get());
     // The shard count goes to stderr with the other telemetry so
     // stdout is byte-comparable across shard counts.
-    note("existctl", "tracing '%s' across %d control-plane shard%s...",
+    note("existctl", "tracing '%s' across %d control-plane shard%s%s...",
          app.c_str(), master.shardCount(),
-         master.shardCount() == 1 ? "" : "s");
+         master.shardCount() == 1 ? "" : "s", wal_note.c_str());
+    if (journal != nullptr && !crash_at.empty())
+        durability::crashpoint::arm(crash_at);
 
+    // Submit everything first: all admissions are durable before any
+    // reconcile-time crash point.
     std::vector<std::uint64_t> ids;
+    ManifestError error;
     for (int i = 0; i < 4; ++i)
-        ids.push_back(master.apply(manifest));
+        ids.push_back(master.apply(manifest, &error));
+    if (!error.ok()) {
+        logLine(LogLevel::kError, "existctl", "%s", error.message().c_str());
+        return 2;
+    }
     auto t0 = std::chrono::steady_clock::now();
     master.reconcile();
     double wall_s = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
+    if (journal != nullptr)
+        journal->maybeSnapshot([&master] { return master.dumpState(); });
     printReports(master, ids);
 
-    // Wall-clock telemetry, so stderr: stdout stays byte-comparable
-    // across shard counts.
     metrics::Registry &reg = master.metrics();
     note("existctl",
          "reconciled %zu requests in %.1f ms "
@@ -253,86 +285,6 @@ traceSharded(const std::string &app, double period_ms,
              .percentile(0.99),
          (unsigned long long)master.sessionsRun());
     return 0;
-}
-
-/** Shared tail of the WAL-journaled trace: submit everything first
- *  (all admissions durable before any reconcile-time crash point),
- *  reconcile once, snapshot if due, print. */
-template <typename MasterT>
-int
-runWalTrace(MasterT &master, durability::Journal &journal,
-            const std::string &manifest, int nrequests)
-{
-    master.attachJournal(&journal);
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < nrequests; ++i)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    journal.maybeSnapshot([&master] { return master.dumpState(); });
-    printReports(master, ids);
-    return 0;
-}
-
-/** `trace --wal DIR`: the demo deployment reconciled under the
- *  durability journal (shards == 0 => the serial Master). stdout is
- *  byte-identical to the same run without --wal. */
-int
-traceWal(const std::string &app, double period_ms,
-         std::uint64_t budget_mb, int shards, int threads,
-         bool decode_cache, int tnt_memo_bits, const net::NetSpec &net,
-         const std::string &wal_dir, std::uint64_t snapshot_interval,
-         const std::string &crash_at)
-{
-    ClusterConfig cc;
-    cc.num_nodes = 6;
-    cc.cores_per_node = 4;
-    Cluster cluster(cc);
-    cluster.deploy(app, 3);
-
-    durability::ClusterMeta meta;
-    meta.cluster_seed = cc.seed;
-    meta.num_nodes = cc.num_nodes;
-    meta.cores_per_node = cc.cores_per_node;
-    meta.shards = shards;
-    meta.snapshot_interval = snapshot_interval;
-    meta.deployments = {{app, 3}};
-
-    durability::DurabilitySpec dspec;
-    dspec.wal_dir = wal_dir;
-    dspec.snapshot_interval = snapshot_interval;
-    durability::Journal journal(dspec, meta,
-                                &metrics::Registry::global());
-
-    // wal= rides in the manifest to exercise the CRD key end to end;
-    // toManifest() omits it, so the printed request lines (and hence
-    // stdout) stay byte-comparable with a non-WAL golden run.
-    std::string manifest =
-        "app=" + app + " anomaly=true period_ms=" +
-        std::to_string(static_cast<long long>(period_ms)) +
-        " budget_mb=" + std::to_string(budget_mb);
-    if (!decode_cache)
-        manifest += " decode_cache=off";
-    if (tnt_memo_bits != 6)
-        manifest += " tnt_memo_bits=" + std::to_string(tnt_memo_bits);
-    manifest += netManifest(net);
-    manifest += " wal=" + wal_dir;
-
-    note("existctl",
-         "tracing '%s' under WAL %s (snapshot interval %llu, "
-         "%d shard%s)%s%s",
-         app.c_str(), wal_dir.c_str(),
-         (unsigned long long)snapshot_interval, shards,
-         shards == 1 ? "" : "s",
-         crash_at.empty() ? "" : ", crash at ", crash_at.c_str());
-    if (!crash_at.empty())
-        durability::crashpoint::arm(crash_at);
-
-    if (shards == 0) {
-        Master master(&cluster, {}, threads);
-        return runWalTrace(master, journal, manifest, 4);
-    }
-    ShardedMaster master(&cluster, {}, shards, threads);
-    return runWalTrace(master, journal, manifest, 4);
 }
 
 /** `recover DIR`: rebuild the control plane the WAL describes and
@@ -387,21 +339,12 @@ cmdRecover(int argc, char **argv)
     for (const auto &[id, req] : st.dump.requests)
         ids.push_back(id);
 
-    if (st.meta.shards == 0) {
-        Master master(&cluster, {}, threads);
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        master.reconcile();
-        journal.maybeSnapshot([&master] { return master.dumpState(); });
-        printReports(master, ids);
-    } else {
-        ShardedMaster master(&cluster, {}, st.meta.shards, threads);
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        master.reconcile();
-        journal.maybeSnapshot([&master] { return master.dumpState(); });
-        printReports(master, ids);
-    }
+    ShardedMaster master(&cluster, {}, st.meta.shards, threads);
+    master.restoreForRecovery(st.dump);
+    master.attachJournal(&journal);
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    printReports(master, ids);
     return 0;
 }
 
@@ -479,13 +422,10 @@ cmdTrace(int argc, char **argv)
         else
             return usage();
     }
-    if (!wal_dir.empty())
-        return traceWal(app, period_ms, budget_mb, shards, threads,
-                        decode_cache, tnt_memo_bits, net, wal_dir,
-                        snapshot_interval, crash_at);
-    if (shards > 0)
-        return traceSharded(app, period_ms, budget_mb, shards, threads,
-                            decode_cache, tnt_memo_bits, net);
+    if (shards > 0 || !wal_dir.empty())
+        return traceCluster(app, period_ms, budget_mb, shards, threads,
+                            decode_cache, tnt_memo_bits, net, wal_dir,
+                            snapshot_interval, crash_at);
 
     AppProfile profile = AppCatalog::find(app);
     ExperimentSpec spec;
@@ -570,51 +510,43 @@ cmdTrace(int argc, char **argv)
     return 0;
 }
 
-int
-cmdCluster(int argc, char **argv)
+/**
+ * Split `[<manifest>...]` from the integer flags named in `flags`.
+ * Returns false, after saying why, on a flag missing its value.
+ */
+bool
+parseDemoArgs(int argc, char **argv,
+              std::initializer_list<std::pair<const char *, int *>> flags,
+              std::vector<const char *> *manifests)
 {
-    int threads = 0;
-    std::vector<const char *> manifests;
     for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0) {
-            if (i + 1 >= argc) {
-                std::fputs("missing value for --threads\n", stderr);
-                return 2;
-            }
-            threads = std::atoi(argv[++i]);
-        } else {
-            manifests.push_back(argv[i]);
+        int *value = nullptr;
+        for (const auto &[name, out] : flags)
+            if (std::strcmp(argv[i], name) == 0)
+                value = out;
+        if (value == nullptr) {
+            manifests->push_back(argv[i]);
+            continue;
         }
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "missing value for %s\n", argv[i]);
+            return false;
+        }
+        *value = std::atoi(argv[++i]);
     }
-    if (manifests.empty())
-        return usage();
-
-    ClusterConfig cc;
-    cc.num_nodes = 10;
-    cc.cores_per_node = 6;
-    Cluster cluster(cc);
-    cluster.deploy("Search1", 8);
-    cluster.deploy("Search2", 6);
-    cluster.deploy("Cache", 6);
-    cluster.deploy("Pred", 4);
-    cluster.deploy("Agent", 10);
-    Master master(&cluster, {}, threads);
-
-    std::vector<std::uint64_t> ids;
-    for (const char *manifest : manifests)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    printReports(master, ids);
-    return 0;
+    return true;
 }
 
-/** Reconcile `manifests` on the demo cluster through a ShardedMaster
- *  recording into the global registry (metrics/top/dump-flight share
- *  this to put live traffic behind their views). Returns the shard
- *  count actually used. */
-int
+/**
+ * Reconcile `manifests` on the demo ten-node cluster (the cloud apps
+ * deployed) through a ShardedMaster recording into the global
+ * registry; `cluster` prints the reports, metrics/top/dump-flight use
+ * it to put live traffic behind their views. A malformed manifest is
+ * rejected on stderr; the others still reconcile.
+ */
+void
 reconcileDemoManifests(const std::vector<const char *> &manifests,
-                       int shards, int threads)
+                       int shards, int threads, bool print)
 {
     ClusterConfig cc;
     cc.num_nodes = 10;
@@ -626,10 +558,35 @@ reconcileDemoManifests(const std::vector<const char *> &manifests,
     cluster.deploy("Pred", 4);
     cluster.deploy("Agent", 10);
     ShardedMaster master(&cluster, {}, shards, threads);
-    for (const char *manifest : manifests)
-        master.apply(manifest);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < manifests.size(); ++i) {
+        ManifestError error;
+        std::uint64_t id = master.apply(manifests[i], &error);
+        if (id == 0)
+            logLine(LogLevel::kError, "existctl",
+                    "manifest %zu rejected: %s", i + 1,
+                    error.message().c_str());
+        else
+            ids.push_back(id);
+    }
     master.reconcile();
-    return master.shardCount();
+    note("existctl", "reconciled %zu requests on %d shards", ids.size(),
+         master.shardCount());
+    if (print)
+        printReports(master, ids);
+}
+
+int
+cmdCluster(int argc, char **argv)
+{
+    int threads = 0;
+    std::vector<const char *> manifests;
+    if (!parseDemoArgs(argc, argv, {{"--threads", &threads}}, &manifests))
+        return 2;
+    if (manifests.empty())
+        return usage();
+    reconcileDemoManifests(manifests, 0, threads, true);
+    return 0;
 }
 
 int
@@ -638,28 +595,12 @@ cmdMetrics(int argc, char **argv)
     int threads = 0;
     int shards = 0;
     std::vector<const char *> manifests;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 ||
-            std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             argv[i]);
-                return 2;
-            }
-            (std::strcmp(argv[i], "--shards") == 0 ? shards
-                                                   : threads) =
-                std::atoi(argv[i + 1]);
-            ++i;
-        } else {
-            manifests.push_back(argv[i]);
-        }
-    }
-
-    if (!manifests.empty()) {
-        int used = reconcileDemoManifests(manifests, shards, threads);
-        note("existctl", "reconciled %zu requests on %d shards",
-             manifests.size(), used);
-    }
+    if (!parseDemoArgs(argc, argv,
+                       {{"--threads", &threads}, {"--shards", &shards}},
+                       &manifests))
+        return 2;
+    if (!manifests.empty())
+        reconcileDemoManifests(manifests, shards, threads, false);
     std::printf("%s\n", metrics::Registry::global().toJson().c_str());
     return 0;
 }
@@ -674,32 +615,15 @@ cmdTop(int argc, char **argv)
     int iterations = 1;
     int interval_ms = 500;
     std::vector<const char *> manifests;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--threads")
-            threads = std::atoi(next());
-        else if (arg == "--shards")
-            shards = std::atoi(next());
-        else if (arg == "--iterations")
-            iterations = std::atoi(next());
-        else if (arg == "--interval-ms")
-            interval_ms = std::atoi(next());
-        else
-            manifests.push_back(argv[i]);
-    }
-    if (!manifests.empty()) {
-        int used = reconcileDemoManifests(manifests, shards, threads);
-        note("existctl", "reconciled %zu requests on %d shards",
-             manifests.size(), used);
-    }
+    if (!parseDemoArgs(argc, argv,
+                       {{"--threads", &threads},
+                        {"--shards", &shards},
+                        {"--iterations", &iterations},
+                        {"--interval-ms", &interval_ms}},
+                       &manifests))
+        return 2;
+    if (!manifests.empty())
+        reconcileDemoManifests(manifests, shards, threads, false);
 
     metrics::Registry &reg = metrics::Registry::global();
     for (int it = 0; it < iterations; ++it) {
@@ -731,27 +655,12 @@ cmdDumpFlight(int argc, char **argv)
     int threads = 0;
     int shards = 0;
     std::vector<const char *> manifests;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 ||
-            std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             argv[i]);
-                return 2;
-            }
-            (std::strcmp(argv[i], "--shards") == 0 ? shards
-                                                   : threads) =
-                std::atoi(argv[i + 1]);
-            ++i;
-        } else {
-            manifests.push_back(argv[i]);
-        }
-    }
-    if (!manifests.empty()) {
-        int used = reconcileDemoManifests(manifests, shards, threads);
-        note("existctl", "reconciled %zu requests on %d shards",
-             manifests.size(), used);
-    }
+    if (!parseDemoArgs(argc, argv,
+                       {{"--threads", &threads}, {"--shards", &shards}},
+                       &manifests))
+        return 2;
+    if (!manifests.empty())
+        reconcileDemoManifests(manifests, shards, threads, false);
     std::fputs(obs::flightDumpText(64).c_str(), stdout);
     return 0;
 }
